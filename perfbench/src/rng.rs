@@ -1,0 +1,40 @@
+//! The benchmark's seeded random stream (SplitMix64).
+//!
+//! Every seeded choice — round order, the serve mix, oracle inputs — is
+//! drawn from one of these, so a seed fixes the generated inputs exactly.
+
+/// A SplitMix64 generator.
+#[derive(Debug, Clone)]
+pub struct Rng(u64);
+
+impl Rng {
+    /// A stream for `seed`, split by `stream` so independent consumers of
+    /// one seed (each serve client, the oracle) do not share draws.
+    pub fn new(seed: u64, stream: u64) -> Rng {
+        let mut rng = Rng(seed ^ stream.wrapping_mul(0xA076_1D64_78BD_642F));
+        rng.next_u64();
+        rng
+    }
+
+    /// The next 64 random bits.
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A uniform draw from `0..n` (`n > 0`).
+    pub fn below(&mut self, n: usize) -> usize {
+        (self.next_u64() % n as u64) as usize
+    }
+
+    /// Fisher-Yates shuffle.
+    pub fn shuffle<T>(&mut self, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            let j = self.below(i + 1);
+            items.swap(i, j);
+        }
+    }
+}
