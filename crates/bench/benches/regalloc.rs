@@ -3,7 +3,7 @@
 //! Memory-traffic reduction itself is reported by the `figure2` binary.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use record_core::{CompileRequest, Record};
+use record_core::{CompileRequest, Probe, Record};
 use record_targets::{kernels, models};
 
 fn bench_allocation_phase(c: &mut Criterion) {
@@ -21,10 +21,8 @@ fn bench_allocation_phase(c: &mut Criterion) {
                     .allocate_registers(false),
             )
             .expect("compiles");
-        let flat = record_ir::lower(&record_ir::parse(k.source).unwrap(), k.function).unwrap();
         // The pool is part of the frozen artifact now: no re-discovery.
         let pool = target.register_pool().expect("data memory").clone();
-        let liveness = record_regalloc::Liveness::analyze(&flat);
         let layout = record_regalloc::MemLayout::from_binding(&unalloc.binding);
         g.bench_with_input(
             BenchmarkId::from_parameter(k.name),
@@ -33,10 +31,11 @@ fn bench_allocation_phase(c: &mut Criterion) {
                 b.iter(|| {
                     record_regalloc::allocate(
                         ops,
+                        std::slice::from_ref(&(0..ops.len())),
                         &pool,
-                        &liveness,
                         layout,
                         &record_regalloc::AllocOptions::default(),
+                        &mut Probe::disabled(),
                     )
                 });
             },

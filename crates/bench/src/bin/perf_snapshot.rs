@@ -21,8 +21,9 @@
 //!   model retarget, one per compiling kernel x model pair) instead of
 //!   the snapshot JSON.
 
-use record_bench::snapshot::{counter_drift, measure, parse_json, Json};
+use record_bench::snapshot::{counter_drift, measure};
 use record_core::{PhaseNs, Report};
+use record_probe::json::parse as parse_json;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -123,11 +124,10 @@ fn main() -> ExitCode {
         let src = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read snapshot `{path}`: {e}"));
         let parsed = parse_json(&src).unwrap_or_else(|e| panic!("bad snapshot `{path}`: {e}"));
-        render_raw(
-            parsed
-                .get("pre_pr")
-                .unwrap_or_else(|| panic!("`{path}` has no pre_pr member")),
-        )
+        parsed
+            .get("pre_pr")
+            .unwrap_or_else(|| panic!("`{path}` has no pre_pr member"))
+            .to_string()
     });
     let json = snap.to_json(pre_pr_raw.as_deref());
     match out {
@@ -138,31 +138,4 @@ fn main() -> ExitCode {
         None => print!("{json}"),
     }
     ExitCode::SUCCESS
-}
-
-/// Re-renders a parsed JSON value (used to carry `pre_pr` forward).
-fn render_raw(v: &Json) -> String {
-    match v {
-        Json::Null => "null".into(),
-        Json::Bool(b) => b.to_string(),
-        Json::Num(n) => {
-            if n.fract() == 0.0 && n.abs() < 9e15 {
-                format!("{}", *n as i64)
-            } else {
-                format!("{n}")
-            }
-        }
-        Json::Str(s) => format!("{s:?}"),
-        Json::Arr(items) => {
-            let inner: Vec<String> = items.iter().map(render_raw).collect();
-            format!("[{}]", inner.join(", "))
-        }
-        Json::Obj(members) => {
-            let inner: Vec<String> = members
-                .iter()
-                .map(|(k, v)| format!("{k:?}: {}", render_raw(v)))
-                .collect();
-            format!("{{{}}}", inner.join(", "))
-        }
-    }
 }

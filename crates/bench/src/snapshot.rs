@@ -13,11 +13,12 @@
 //!   perf PR that silently changes *semantics* while claiming to only
 //!   change *speed* (see [`counter_drift`]).
 //!
-//! The crate has no serde (offline build), so this module carries a
-//! minimal JSON writer and a minimal recursive-descent parser — enough
-//! for the snapshot schema and nothing else.
+//! The crate has no serde (offline build): the snapshot is written by
+//! hand in a fixed layout, with strings escaped and files read back by
+//! the workspace's one JSON codec, [`record_probe::json`].
 
 use record_core::{CompileRequest, Histogram, Record, Report, RetargetOptions};
+use record_probe::json::Json;
 use record_targets::{control_kernels, kernels, models};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -252,33 +253,11 @@ pub fn measure(iters: usize) -> Snapshot {
     }
 }
 
-/// Escapes a string per JSON rules (the Rust `{:?}` escaper writes
-/// `\u{..}` for non-ASCII, which JSON does not accept).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Renders a phase list as a JSON object in recording order.
 fn phases_json(phases: &[(&'static str, u128)]) -> String {
     let inner: Vec<String> = phases
         .iter()
-        .map(|(label, ns)| format!("{}: {ns}", json_str(label)))
+        .map(|(label, ns)| format!("{}: {ns}", Json::str(*label)))
         .collect();
     format!("{{{}}}", inner.join(", "))
 }
@@ -326,9 +305,9 @@ impl Snapshot {
                 let _ = write!(
                     out,
                     ", \"fail_phase\": {}, \"fail_kind\": {}, \"fail_message\": {}",
-                    json_str(phase),
-                    json_str(kind),
-                    json_str(c.fail_message.as_deref().unwrap_or("")),
+                    Json::str(phase),
+                    Json::str(kind),
+                    Json::str(c.fail_message.as_deref().unwrap_or("")),
                 );
             }
             out.push('}');
@@ -341,229 +320,6 @@ impl Snapshot {
         out.push_str("  ]\n}\n");
         out
     }
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON reader (no serde in the offline build).
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Member of an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Numeric value, if this is a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// String value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Array elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one JSON document.
-///
-/// # Errors
-///
-/// Returns a position-annotated message on malformed input.
-pub fn parse_json(src: &str) -> Result<Json, String> {
-    let bytes = src.as_bytes();
-    let mut pos = 0;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&c) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected `{}` at byte {pos}", c as char))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => {
-            *pos += 1;
-            let mut members = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(members));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                expect(b, pos, b':')?;
-                let val = parse_value(b, pos)?;
-                members.push((key, val));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(members));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(b't') if b[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if b[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if b[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            std::str::from_utf8(&b[start..*pos])
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .map(Json::Num)
-                .ok_or_else(|| format!("bad number at byte {start}"))
-        }
-        None => Err("unexpected end of input".into()),
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}"));
-    }
-    *pos += 1;
-    // Collect raw bytes and validate UTF-8 once at the end, so multi-byte
-    // characters in the input survive intact.
-    let mut out: Vec<u8> = Vec::new();
-    while let Some(&c) = b.get(*pos) {
-        *pos += 1;
-        match c {
-            b'"' => return String::from_utf8(out).map_err(|_| "string is not valid UTF-8".into()),
-            b'\\' => {
-                let esc = b.get(*pos).copied().ok_or("bad escape")?;
-                *pos += 1;
-                match esc {
-                    b'n' => out.push(b'\n'),
-                    b't' => out.push(b'\t'),
-                    b'r' => out.push(b'\r'),
-                    b'"' => out.push(b'"'),
-                    b'\\' => out.push(b'\\'),
-                    b'/' => out.push(b'/'),
-                    b'u' => {
-                        let cp = parse_hex4(b, pos)?;
-                        // Combine a UTF-16 surrogate pair if present.
-                        let ch = if (0xD800..0xDC00).contains(&cp) {
-                            if b.get(*pos) == Some(&b'\\') && b.get(*pos + 1) == Some(&b'u') {
-                                *pos += 2;
-                                let lo = parse_hex4(b, pos)?;
-                                let combined =
-                                    0x10000 + ((cp - 0xD800) << 10) + (lo.wrapping_sub(0xDC00));
-                                char::from_u32(combined)
-                            } else {
-                                None
-                            }
-                        } else {
-                            char::from_u32(cp)
-                        };
-                        let ch = ch.ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
-                        let mut buf = [0u8; 4];
-                        out.extend_from_slice(ch.encode_utf8(&mut buf).as_bytes());
-                    }
-                    other => return Err(format!("unknown escape `\\{}`", other as char)),
-                }
-            }
-            other => out.push(other),
-        }
-    }
-    Err("unterminated string".into())
-}
-
-/// Parses exactly four hex digits (the payload of a `\uXXXX` escape).
-fn parse_hex4(b: &[u8], pos: &mut usize) -> Result<u32, String> {
-    let digits = b
-        .get(*pos..*pos + 4)
-        .and_then(|d| std::str::from_utf8(d).ok())
-        .ok_or_else(|| format!("truncated \\u escape at byte {pos}"))?;
-    let cp = u32::from_str_radix(digits, 16)
-        .map_err(|_| format!("bad \\u escape `{digits}` at byte {pos}"))?;
-    *pos += 4;
-    Ok(cp)
 }
 
 // ---------------------------------------------------------------------------
@@ -634,7 +390,7 @@ pub fn counter_drift(measured: &Snapshot, checked_in: &Json) -> Vec<String> {
             }
         }
     }
-    let num = |obj: &Json, key: &str| obj.get(key).and_then(Json::as_num);
+    let num = |obj: &Json, key: &str| obj.get(key).and_then(Json::as_f64);
     let empty = [];
     let rows = checked_in
         .get("retarget")
@@ -717,6 +473,7 @@ pub fn counter_drift(measured: &Snapshot, checked_in: &Json) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use record_probe::json::parse as parse_json;
 
     fn sample_snapshot() -> Snapshot {
         Snapshot {
@@ -797,7 +554,7 @@ mod tests {
             rows[0]
                 .get("phases")
                 .and_then(|p| p.get("select"))
-                .and_then(Json::as_num),
+                .and_then(Json::as_f64),
             Some(500.0)
         );
         assert_eq!(
@@ -805,11 +562,11 @@ mod tests {
             Some("missing-hardware(mul)")
         );
         // v3 percentile members ride on every timed row.
-        assert_eq!(rows[0].get("p50_ns").and_then(Json::as_num), Some(1023.0));
-        assert_eq!(rows[0].get("max_ns").and_then(Json::as_num), Some(1001.0));
+        assert_eq!(rows[0].get("p50_ns").and_then(Json::as_f64), Some(1023.0));
+        assert_eq!(rows[0].get("max_ns").and_then(Json::as_f64), Some(1001.0));
         let retargets = parsed.get("retarget").and_then(Json::as_arr).unwrap();
         assert_eq!(
-            retargets[0].get("p95_ns").and_then(Json::as_num),
+            retargets[0].get("p95_ns").and_then(Json::as_f64),
             Some(127.0)
         );
         // No drift against itself.

@@ -12,7 +12,7 @@
 //! can happen.
 
 use crate::binding::Binding;
-use crate::emit::{compile_statement, EmitStats, EmitTables, Emitted};
+use crate::emit::{compile_statement, EmitStats, EmitTables, EmittedCfg};
 use crate::error::CodegenError;
 use crate::ops::RtOp;
 use record_bdd::BddOps;
@@ -30,11 +30,12 @@ enum Operand {
     Mem(u64),
 }
 
-/// Compiles statements in the naive per-operator style.
+/// Compiles straight-line statements in the naive per-operator style, as
+/// one block.
 ///
 /// # Errors
 ///
-/// Same failure modes as [`crate::compile`].
+/// Same failure modes as [`crate::compile_cfg`].
 #[allow(clippy::too_many_arguments)]
 pub fn baseline_compile<M: BddOps>(
     stmts: &[FlatStmt],
@@ -46,7 +47,7 @@ pub fn baseline_compile<M: BddOps>(
     tables: &EmitTables,
     width: u16,
     probe: &mut Probe<'_>,
-) -> Result<Emitted, CodegenError> {
+) -> Result<EmittedCfg, CodegenError> {
     let mut out = Vec::new();
     let mut stats = EmitStats::default();
     for stmt in stmts {
@@ -73,7 +74,14 @@ pub fn baseline_compile<M: BddOps>(
         stats.statements += 1;
         binding.release_scratch(mark)?;
     }
-    Ok(Emitted { ops: out, stats })
+    // One block spanning all ops, not `(0..n).collect()`.
+    #[allow(clippy::single_range_in_vec_init)]
+    let block_ranges = vec![0..out.len()];
+    Ok(EmittedCfg {
+        ops: out,
+        block_ranges,
+        stats,
+    })
 }
 
 fn mask(width: u16) -> u64 {

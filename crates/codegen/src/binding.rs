@@ -7,7 +7,7 @@
 //! data-memory words and making `mul(coef, x)`-shaped rules applicable.
 
 use crate::error::CodegenError;
-use record_ir::{FlatExpr, FlatStmt, Program, Ref};
+use record_ir::{Cfg, FlatExpr, Program, Ref, Terminator};
 use record_netlist::{Netlist, StorageId, StorageKind};
 use record_rtl::OpKind;
 use std::collections::{BTreeMap, BTreeSet};
@@ -42,12 +42,15 @@ impl Binding {
         netlist: &Netlist,
         data_mem: StorageId,
     ) -> Result<Binding, CodegenError> {
-        Binding::allocate_with_const_mem(program, function, netlist, data_mem, None, &[])
+        let no_code = Cfg { blocks: Vec::new() };
+        Binding::allocate_with_const_mem(program, function, netlist, data_mem, None, &no_code)
     }
 
     /// Like [`Binding::allocate`], but may place read-only variables into
-    /// the constant memory `const_mem` when `stmts` (the function's
-    /// lowered body) proves every one of their reads feeds a multiply.
+    /// the constant memory `const_mem` when `cfg` (the function's lowered
+    /// body) proves every one of their reads feeds a multiply.  Branch
+    /// conditions count as reads, so a word a terminator tests never
+    /// qualifies.
     ///
     /// Eligibility is conservative: a variable qualifies only if it is
     /// never written, is read at least once, and every read is a direct
@@ -66,7 +69,7 @@ impl Binding {
         netlist: &Netlist,
         data_mem: StorageId,
         const_mem: Option<StorageId>,
-        stmts: &[FlatStmt],
+        cfg: &Cfg,
     ) -> Result<Binding, CodegenError> {
         let storage = netlist.storage(data_mem);
         assert_eq!(
@@ -81,7 +84,7 @@ impl Binding {
             })?;
 
         let rom_vars = match const_mem {
-            Some(_) => rom_placeable(stmts),
+            Some(_) => rom_placeable(cfg),
             None => BTreeSet::new(),
         };
         let rom_size = const_mem.map_or(0, |rom| netlist.storage(rom).size);
@@ -220,9 +223,13 @@ impl Binding {
 }
 
 /// The set of variable names eligible for constant-memory placement in
-/// `stmts`, after multiplier-port conflicts are resolved (ROM capacity
-/// is enforced later, during layout, against declared sizes).
-fn rom_placeable(stmts: &[FlatStmt]) -> BTreeSet<String> {
+/// `cfg`, after multiplier-port conflicts are resolved (ROM capacity is
+/// enforced later, during layout, against declared sizes).
+///
+/// Expressions are visited in a fixed order — every block's statements,
+/// then every branch condition — which decides which operand a
+/// multiplier-port conflict demotes.
+fn rom_placeable(cfg: &Cfg) -> BTreeSet<String> {
     #[derive(Default)]
     struct Use {
         reads: u64,
@@ -249,9 +256,19 @@ fn rom_placeable(stmts: &[FlatStmt]) -> BTreeSet<String> {
             }
         }
     }
-    for s in stmts {
+    let stmts = || cfg.blocks.iter().flat_map(|b| &b.stmts);
+    let exprs = || {
+        let conds = cfg.blocks.iter().filter_map(|b| match &b.term {
+            Terminator::Branch { cond, .. } => Some(cond),
+            _ => None,
+        });
+        stmts().map(|s| &s.value).chain(conds)
+    };
+    for s in stmts() {
         uses.entry(s.target.name.clone()).or_default().written = true;
-        scan(&s.value, false, &mut uses);
+    }
+    for e in exprs() {
+        scan(e, false, &mut uses);
     }
 
     let mut eligible: BTreeSet<String> = uses
@@ -279,8 +296,8 @@ fn rom_placeable(stmts: &[FlatStmt]) -> BTreeSet<String> {
             }
         }
     }
-    for s in stmts {
-        demote_conflicts(&s.value, &mut eligible);
+    for e in exprs() {
+        demote_conflicts(e, &mut eligible);
     }
     eligible
 }

@@ -40,62 +40,13 @@ pub struct EmitStats {
     pub reloads: u64,
     /// Wall-clock nanoseconds spent in the tree parser.
     pub select_ns: u64,
-    /// Wall-clock nanoseconds spent emitting covers.
-    pub emit_ns: u64,
     /// Labelling work done by the tree parser.
     pub select: SelectStats,
 }
 
-/// The result of [`compile`] / [`crate::baseline_compile`]: the RT
-/// sequence plus the work counters accumulated while producing it.
-#[derive(Debug, Clone)]
-pub struct Emitted {
-    /// The compiled RT operations.
-    pub ops: Vec<RtOp>,
-    /// Selection and emission work counters.
-    pub stats: EmitStats,
-}
-
-/// Compiles a list of flat statements; scratch space is recycled between
-/// statements.
-///
-/// `probe` receives one `"statement"` span per source statement; pass
-/// [`Probe::disabled`] when no trace is wanted.
-///
-/// # Errors
-///
-/// Propagates selection failures, unbound variables and spill-path /
-/// storage exhaustion.
-#[allow(clippy::too_many_arguments)]
-pub fn compile<M: BddOps>(
-    stmts: &[FlatStmt],
-    selector: &Selector,
-    base: &TemplateBase,
-    binding: &mut Binding,
-    netlist: &Netlist,
-    manager: &mut M,
-    tables: &EmitTables,
-    width: u16,
-    probe: &mut Probe<'_>,
-) -> Result<Emitted, CodegenError> {
-    let mut out = Vec::new();
-    let mut stats = EmitStats::default();
-    for stmt in stmts {
-        probe.begin("statement");
-        let mark = binding.scratch_mark();
-        let r = compile_split(
-            stmt, selector, base, binding, netlist, manager, tables, width, &mut out, &mut stats, 0,
-        );
-        probe.end("statement");
-        r?;
-        stats.statements += 1;
-        binding.release_scratch(mark)?;
-    }
-    Ok(Emitted { ops: out, stats })
-}
-
-/// The result of [`compile_cfg`]: the RT sequence, the op range each
-/// basic block occupies, and the work counters.
+/// The result of [`compile_cfg`] / [`crate::baseline_compile`]: the RT
+/// sequence, the op range each basic block occupies, and the work
+/// counters.
 ///
 /// Transfer targets inside `ops` are still *block ids*
 /// (`SimExpr::Const(block)`); the caller patches them to vertical op
@@ -111,18 +62,23 @@ pub struct EmittedCfg {
     pub stats: EmitStats,
 }
 
-/// Compiles a control-flow graph: each block's statements compile exactly
-/// as [`compile`] would, then the terminator becomes compare-and-branch /
-/// jump RTs against the target's PC-writing templates.  A block whose
+/// Compiles a control-flow graph: each block's statements are selected
+/// and emitted one by one (scratch space is recycled between
+/// statements), then the terminator becomes compare-and-branch / jump
+/// RTs against the target's PC-writing templates.  A block whose
 /// terminator falls through to the next block in layout order emits no
-/// transfer at all, so a single-block (straight-line) CFG produces ops
-/// byte-identical to [`compile`].
+/// transfer at all, so a straight-line function is one block of
+/// statement code and nothing else.
+///
+/// `probe` receives one `"statement"` span per source statement and per
+/// branch condition; pass [`Probe::disabled`] when no trace is wanted.
 ///
 /// # Errors
 ///
-/// Everything [`compile`] raises, plus [`CodegenError::NoBranchPath`]
-/// when a terminator needs a control transfer but the target has no PC
-/// (or no usable jump / conditional-branch template).
+/// Selection failures, unbound variables and spill-path / storage
+/// exhaustion, plus [`CodegenError::NoBranchPath`] when a terminator
+/// needs a control transfer but the target has no PC (or no usable jump
+/// / conditional-branch template).
 #[allow(clippy::too_many_arguments)]
 pub fn compile_cfg<M: BddOps>(
     cfg: &Cfg,
@@ -138,7 +94,7 @@ pub fn compile_cfg<M: BddOps>(
     let mut out = Vec::new();
     let mut stats = EmitStats::default();
     let mut ranges = Vec::with_capacity(cfg.blocks.len());
-    let paths = branch_paths(base, netlist);
+    let paths = &tables.paths;
     for (i, block) in cfg.blocks.iter().enumerate() {
         let start = out.len();
         for stmt in &block.stmts {
@@ -157,7 +113,7 @@ pub fn compile_cfg<M: BddOps>(
             Terminator::Halt => {}
             Terminator::Jump(t) => {
                 if *t != i + 1 {
-                    out.push(jump_op(require_paths(&paths)?, base, *t)?);
+                    out.push(jump_op(require_paths(paths)?, base, *t)?);
                 }
             }
             Terminator::Branch {
@@ -165,7 +121,7 @@ pub fn compile_cfg<M: BddOps>(
                 then_to,
                 else_to,
             } => {
-                let p = require_paths(&paths)?;
+                let p = require_paths(paths)?;
                 probe.begin("statement");
                 let mark = binding.scratch_mark();
                 let r = emit_branch(
@@ -201,6 +157,7 @@ pub fn compile_cfg<M: BddOps>(
 
 /// The target's control-transfer repertoire: its PC storage and the
 /// extracted templates that write it.
+#[derive(Debug, Clone)]
 struct BranchPaths {
     pc: StorageId,
     /// Unconditional `pc := #imm`.
@@ -855,7 +812,7 @@ fn build_flat(
 ///
 /// # Errors
 ///
-/// See [`compile`].
+/// See [`compile_cfg`].
 #[allow(clippy::too_many_arguments)]
 pub fn compile_statement<M: BddOps>(
     et: &Et,
@@ -875,12 +832,10 @@ pub fn compile_statement<M: BddOps>(
         message: e.to_string(),
     })?;
     stats.select.absorb(&cover.stats);
-    let t1 = Instant::now();
     let mut emitter = Emitter::new(
         et, &cover, selector, base, binding, netlist, manager, tables,
     );
     let result = emitter.run();
-    stats.emit_ns += t1.elapsed().as_nanos() as u64;
     stats.spill_stores += emitter.spill_stores;
     stats.reloads += emitter.reloads;
     result
@@ -900,26 +855,34 @@ struct RfFields {
 /// instruction field into an execution condition formatted an `I[b]`
 /// name, hashed it and looked the variable up — per bit, per emitted op.
 /// Both are target-level constants, so they live here now: the
-/// register-file address fields and the positive literal of every
+/// register-file address fields, the positive literal of every
 /// instruction-word bit (frozen-base BDD handles, valid in every session
-/// overlay).
+/// overlay) and the PC-writing templates control transfers use.
 #[derive(Debug, Clone)]
 pub struct EmitTables {
     rf: HashMap<StorageId, RfFields>,
     ibits: Vec<record_bdd::Bdd>,
+    /// `None` when the model declares no PC.
+    paths: Option<BranchPaths>,
 }
 
 impl EmitTables {
     /// Builds the tables against the retarget-time manager (the literals
     /// must be created before [`record_bdd::BddManager::freeze`] so they
     /// are frozen handles).
-    pub fn build<M: BddOps>(netlist: &Netlist, manager: &mut M, iword_width: u16) -> EmitTables {
+    pub fn build<M: BddOps>(
+        netlist: &Netlist,
+        base: &TemplateBase,
+        manager: &mut M,
+        iword_width: u16,
+    ) -> EmitTables {
         let ibits = (0..iword_width)
             .map(|b| manager.var(&format!("I[{b}]")))
             .collect();
         EmitTables {
             rf: rf_fields(netlist),
             ibits,
+            paths: branch_paths(base, netlist),
         }
     }
 

@@ -9,11 +9,12 @@
 //!    are a priori bound to certain memory or register resources").
 //! 2. [`build_et`] shapes each flat statement into a destination-annotated
 //!    expression tree over the target's storages.
-//! 3. [`compile`] runs the generated tree parser and *emits* the cover:
-//!    register-file cells are allocated for intermediates, operand
-//!    evaluation is ordered to avoid register conflicts, and unavoidable
-//!    conflicts are resolved by spill/reload RTs through scratch memory —
-//!    the role of the Araujo/Malik-style scheduling the paper cites.
+//! 3. [`compile_cfg`] runs the generated tree parser over the statements
+//!    of every basic block and *emits* the cover: register-file cells are
+//!    allocated for intermediates, operand evaluation is ordered to avoid
+//!    register conflicts, and unavoidable conflicts are resolved by
+//!    spill/reload RTs through scratch memory — the role of the
+//!    Araujo/Malik-style scheduling the paper cites.
 //! 4. [`baseline_compile`] is the stand-in for the target-specific C
 //!    compiler in the paper's Figure 2: a correct but naive code generator
 //!    that expands every operator separately through memory temporaries,
@@ -37,9 +38,7 @@ mod sim;
 
 pub use baseline::baseline_compile;
 pub use binding::Binding;
-pub use emit::{
-    compile, compile_cfg, compile_statement, EmitStats, EmitTables, Emitted, EmittedCfg,
-};
+pub use emit::{compile_cfg, compile_statement, EmitStats, EmitTables, EmittedCfg};
 pub use error::CodegenError;
 pub use etgen::build_et;
 pub use ops::{DestSim, Loc, RtOp, SimExpr, Transfer};

@@ -171,7 +171,7 @@ fn rig(src: &str) -> Rig {
     let grammar = TreeGrammar::from_base(&base, &netlist);
     let selector = Selector::generate(std::sync::Arc::new(grammar));
     let mut manager = ex.manager;
-    let tables = crate::EmitTables::build(&netlist, &mut manager, netlist.iword_width());
+    let tables = crate::EmitTables::build(&netlist, &base, &mut manager, netlist.iword_width());
     Rig {
         netlist,
         base,
@@ -186,7 +186,7 @@ fn rig(src: &str) -> Rig {
 /// Returns the op count.
 fn compile_and_check(r: &Rig, csrc: &str, init: &[(&str, Vec<u64>)]) -> usize {
     let prog = record_ir::parse(csrc).expect("mini-C parses");
-    let flat = record_ir::lower(&prog, "f").expect("lowers");
+    let cfg = record_ir::lower_cfg(&prog, "f").expect("lowers");
     let dm = r
         .netlist
         .storages()
@@ -195,8 +195,8 @@ fn compile_and_check(r: &Rig, csrc: &str, init: &[(&str, Vec<u64>)]) -> usize {
         .expect("data memory")
         .id;
     let mut binding = Binding::allocate(&prog, "f", &r.netlist, dm).expect("binds");
-    let ops = compile(
-        &flat,
+    let ops = compile_cfg(
+        &cfg,
         &r.selector,
         &r.base,
         &mut binding,
@@ -247,7 +247,7 @@ fn compile_and_check(r: &Rig, csrc: &str, init: &[(&str, Vec<u64>)]) -> usize {
         }
     }
     let mut touched = std::collections::BTreeSet::new();
-    for st in &flat {
+    for st in cfg.blocks.iter().flat_map(|b| &b.stmts) {
         touched.insert(st.target.name.clone());
         collect(&st.value, &mut touched);
     }
@@ -362,12 +362,12 @@ fn deep_conflict_forces_spill_and_stays_correct() {
 fn baseline_never_chains() {
     let r = rig(DSP8);
     let prog = record_ir::parse("int s, a, b; void f() { s = s + a * b; }").unwrap();
-    let flat = record_ir::lower(&prog, "f").unwrap();
+    let cfg = record_ir::lower_cfg(&prog, "f").unwrap();
     let dm = r.netlist.storage_by_name("ram").unwrap().id;
 
     let mut b1 = Binding::allocate(&prog, "f", &r.netlist, dm).unwrap();
-    let smart = compile(
-        &flat,
+    let smart = compile_cfg(
+        &cfg,
         &r.selector,
         &r.base,
         &mut b1,
@@ -382,7 +382,7 @@ fn baseline_never_chains() {
 
     let mut b2 = Binding::allocate(&prog, "f", &r.netlist, dm).unwrap();
     let naive = baseline_compile(
-        &flat,
+        &cfg.blocks[0].stmts,
         &r.selector,
         &r.base,
         &mut b2,
@@ -418,11 +418,11 @@ fn baseline_never_chains() {
 fn select_error_reports_subtree() {
     let r = rig(DSP8);
     let prog = record_ir::parse("int x, a, b; void f() { x = a / b; }").unwrap();
-    let flat = record_ir::lower(&prog, "f").unwrap();
+    let cfg = record_ir::lower_cfg(&prog, "f").unwrap();
     let dm = r.netlist.storage_by_name("ram").unwrap().id;
     let mut binding = Binding::allocate(&prog, "f", &r.netlist, dm).unwrap();
-    let err = compile(
-        &flat,
+    let err = compile_cfg(
+        &cfg,
         &r.selector,
         &r.base,
         &mut binding,
@@ -468,11 +468,11 @@ fn binding_rejects_oversized_program() {
 fn rendered_listing_is_readable() {
     let r = rig(DSP8);
     let prog = record_ir::parse("int s, a, b; void f() { s = s + a * b; }").unwrap();
-    let flat = record_ir::lower(&prog, "f").unwrap();
+    let cfg = record_ir::lower_cfg(&prog, "f").unwrap();
     let dm = r.netlist.storage_by_name("ram").unwrap().id;
     let mut binding = Binding::allocate(&prog, "f", &r.netlist, dm).unwrap();
-    let ops = compile(
-        &flat,
+    let ops = compile_cfg(
+        &cfg,
         &r.selector,
         &r.base,
         &mut binding,

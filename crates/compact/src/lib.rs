@@ -24,7 +24,7 @@
 //! # Example
 //!
 //! See `record-core`'s `Target::compile`, which feeds emitted RT ops
-//! through [`compact`].
+//! through [`compact_cfg`].
 
 use record_bdd::{Bdd, BddOps};
 use record_codegen::{RtOp, SimExpr};
@@ -195,11 +195,19 @@ pub fn compact_cfg<M: BddOps>(
             if run.is_empty() {
                 return;
             }
-            let s = compact(&ops[run.clone()], manager);
+            let mut s = compact(&ops[run.clone()], manager);
             *moved += s.moved;
-            words.extend(s.words.into_iter().map(|w| Word {
-                ops: w.ops.iter().map(|&k| k + run.start).collect(),
-            }));
+            for w in &mut s.words {
+                for k in &mut w.ops {
+                    *k += run.start;
+                }
+            }
+            // Adopt the first stretch's vector instead of copying it.
+            if words.is_empty() {
+                *words = s.words;
+            } else {
+                words.append(&mut s.words);
+            }
         };
     for r in block_ranges {
         let mut run_start = r.start;

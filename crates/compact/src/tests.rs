@@ -76,7 +76,8 @@ fn rig() -> Rig {
     let grammar = TreeGrammar::from_base(&ex.base, &netlist);
     let selector = Selector::generate(std::sync::Arc::new(grammar));
     let mut manager = ex.manager;
-    let tables = record_codegen::EmitTables::build(&netlist, &mut manager, netlist.iword_width());
+    let tables =
+        record_codegen::EmitTables::build(&netlist, &ex.base, &mut manager, netlist.iword_width());
     Rig {
         netlist,
         base: ex.base,
@@ -88,11 +89,11 @@ fn rig() -> Rig {
 
 fn compile(r: &mut Rig, src: &str) -> (Vec<record_codegen::RtOp>, Binding) {
     let prog = record_ir::parse(src).expect("mini-C parses");
-    let flat = record_ir::lower(&prog, "f").expect("lowers");
+    let cfg = record_ir::lower_cfg(&prog, "f").expect("lowers");
     let dm = r.netlist.storage_by_name("ram").unwrap().id;
     let mut binding = Binding::allocate(&prog, "f", &r.netlist, dm).expect("binds");
-    let ops = record_codegen::compile(
-        &flat,
+    let ops = record_codegen::compile_cfg(
+        &cfg,
         &r.selector,
         &r.base,
         &mut binding,

@@ -9,6 +9,7 @@
 //! [`Target::compile_batch`].
 
 use crate::error::{CompileError, PipelineError};
+use crate::phase::Phases;
 use crate::session::{CompileRequest, CompileSession};
 use record_bdd::FrozenBdd;
 use record_codegen::{Binding, EmitTables, Machine, RtOp};
@@ -139,77 +140,75 @@ impl Record {
         options: &RetargetOptions,
         probe: &mut record_probe::Probe<'_>,
     ) -> Result<Target, PipelineError> {
-        let mut report = record_probe::Report::with_capacity(6, 8);
         let t0 = Instant::now();
+        let mut phases = Phases::new(probe, record_probe::Report::with_capacity(6, 8));
 
-        probe.begin("parse");
-        let parsed = record_hdl::parse(hdl)
-            .map_err(|e| PipelineError::Hdl(e.to_string()))
-            .and_then(|model| {
-                record_netlist::elaborate(&model).map_err(|e| PipelineError::Netlist(e.to_string()))
-            });
-        probe.end("parse");
-        report.phase("parse", t0.elapsed().as_nanos() as u64);
-        let netlist = parsed?;
+        let netlist = phases.run("parse", |_| {
+            record_hdl::parse(hdl)
+                .map_err(|e| PipelineError::Hdl(e.to_string()))
+                .and_then(|model| {
+                    record_netlist::elaborate(&model)
+                        .map_err(|e| PipelineError::Netlist(e.to_string()))
+                })
+        })?;
 
-        let t1 = Instant::now();
-        probe.begin("extract");
-        let extracted = record_isex::extract(&netlist, &options.extract)
-            .map_err(|e| PipelineError::Extract(e.to_string()));
-        probe.end("extract");
-        report.phase("extract", t1.elapsed().as_nanos() as u64);
-        let extraction = extracted?;
+        let extraction = phases.run("extract", |_| {
+            record_isex::extract(&netlist, &options.extract)
+                .map_err(|e| PipelineError::Extract(e.to_string()))
+        })?;
         let templates_extracted = extraction.base.len();
-        probe.count("extract.templates", templates_extracted as u64);
-        report.count("extract.templates", templates_extracted as u64);
+        phases.count("extract.templates", templates_extracted as u64);
 
-        let t2 = Instant::now();
-        probe.begin("template-gen");
         let mut base = extraction.base;
-        record_rtl::extend(&mut base, &options.extension);
-        probe.end("template-gen");
-        report.phase("template-gen", t2.elapsed().as_nanos() as u64);
-        probe.count("template-gen.templates", base.len() as u64);
-        report.count("template-gen.templates", base.len() as u64);
+        phases.run("template-gen", |_| {
+            record_rtl::extend(&mut base, &options.extension)
+        });
+        phases.count("template-gen.templates", base.len() as u64);
 
-        let t3 = Instant::now();
-        let grammar = Arc::new(TreeGrammar::from_base_probed(&base, &netlist, probe));
-        report.phase("rule-gen", t3.elapsed().as_nanos() as u64);
+        // The grammar's size counters go into the trace inside the span.
+        let grammar = phases.run("rule-gen", |probe| {
+            let g = TreeGrammar::from_base(&base, &netlist);
+            probe.count("rule-gen.nonterminals", g.nonterm_count() as u64);
+            probe.count("rule-gen.rules", g.rules().len() as u64);
+            Arc::new(g)
+        });
+        let report = &mut phases.report;
         report.count("rule-gen.nonterminals", grammar.nonterm_count() as u64);
         report.count("rule-gen.rules", grammar.rules().len() as u64);
 
-        let t4 = Instant::now();
-        probe.begin("selector-gen");
-        let selector = Selector::generate(Arc::clone(&grammar));
-        let parser_source = if options.emit_parser_source {
-            Some(emit_rust(&grammar, netlist.name()))
-        } else {
-            None
-        };
-        probe.end("selector-gen");
-        report.phase("selector-gen", t4.elapsed().as_nanos() as u64);
+        let (selector, parser_source) = phases.run("selector-gen", |_| {
+            let selector = Selector::generate(Arc::clone(&grammar));
+            let parser_source = options
+                .emit_parser_source
+                .then(|| emit_rust(&grammar, netlist.name()));
+            (selector, parser_source)
+        });
 
         // Freeze the artifact: data memory, register pool and the
         // emission tables (register-file address fields, instruction-bit
-        // literals) are fixed by the netlist and template base, so they
-        // are built *now*, not recomputed on every compile.  The literal
-        // handles must be created before `freeze` so sessions see them as
-        // frozen-base handles.
-        let t5 = Instant::now();
-        probe.begin("freeze");
+        // literals, PC-writing templates) are fixed by the netlist and
+        // template base, so they are built *now*, not recomputed on every
+        // compile.  The literal handles must be created before `freeze`
+        // so sessions see them as frozen-base handles.
         let mut manager = extraction.manager;
-        let emit_tables =
-            EmitTables::build(&netlist, &mut manager, extraction.varmap.iword_width());
-        let data_mem = netlist
-            .storages()
-            .iter()
-            .filter(|s| s.kind == StorageKind::Memory)
-            .max_by_key(|s| s.size)
-            .map(|s| s.id);
-        let const_mem = const_memory_of(&grammar, &netlist, data_mem);
-        let pool = data_mem.map(|dm| RegisterPool::discover(&netlist, &base, dm));
-        probe.end("freeze");
-        report.phase("freeze", t5.elapsed().as_nanos() as u64);
+        let (emit_tables, data_mem, const_mem, pool) = phases.run("freeze", |_| {
+            let emit_tables = EmitTables::build(
+                &netlist,
+                &base,
+                &mut manager,
+                extraction.varmap.iword_width(),
+            );
+            let data_mem = netlist
+                .storages()
+                .iter()
+                .filter(|s| s.kind == StorageKind::Memory)
+                .max_by_key(|s| s.size)
+                .map(|s| s.id);
+            let const_mem = const_memory_of(&grammar, &netlist, data_mem);
+            let pool = data_mem.map(|dm| RegisterPool::discover(&netlist, &base, dm));
+            (emit_tables, data_mem, const_mem, pool)
+        });
+        let mut report = phases.report;
         report.count("freeze.bdd-nodes", manager.counters().nodes);
 
         let stats = RetargetReport {

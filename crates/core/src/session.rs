@@ -10,22 +10,16 @@
 //! byte-identical to sequential output.
 
 use crate::error::{panic_message, CompileError, CompilePhase};
+use crate::phase::Phases;
 use crate::pipeline::{CompileOptions, CompileReport, CompiledKernel, Target};
 use record_bdd::BddOverlay;
-use record_codegen::{
-    baseline_compile, compile, compile_cfg, Binding, CodegenError, Emitted, EmittedCfg, SimExpr,
-};
-use record_compact::{compact, compact_cfg};
-use record_ir::{FlatStmt, Ref, Terminator};
+use record_codegen::{baseline_compile, compile_cfg, Binding, CodegenError, EmittedCfg, SimExpr};
+use record_compact::compact_cfg;
 use record_probe::{Collector, Probe, Trace, TraceSink};
-use record_regalloc::{
-    allocate_cfg_probed, allocate_probed, AllocOptions, CfgLiveness, Liveness, MemLayout,
-};
-use std::borrow::Cow;
+use record_regalloc::{allocate, AllocOptions, MemLayout};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 /// One compilation request: a mini-C translation unit, the function to
 /// compile, and the options to compile it under.
@@ -269,16 +263,9 @@ impl<'t> CompileSession<'t> {
         request: &CompileRequest<'_>,
         at: &Cell<CompilePhase>,
     ) -> Result<CompiledKernel, CompileError> {
-        let enter = |phase: CompilePhase| {
-            at.set(phase);
-            if request.options().inject_panic == Some(phase) {
-                panic!("injected panic in phase `{phase}` (fault-injection hook)");
-            }
-        };
         let target = self.target;
         let function = request.function();
         let options = request.options();
-        let mut report = CompileReport::with_capacity(7, 16);
         let bdd_before = self.bdd.counters();
         // Disjoint-field borrows: the probe holds `self.collector` for the
         // whole compilation while codegen and compaction mutate `self.bdd`.
@@ -286,72 +273,21 @@ impl<'t> CompileSession<'t> {
         if let Some(budget) = options.deadline_ns {
             probe.set_deadline_ns(Some(record_probe::now_ns().saturating_add(budget)));
         }
-        // Cooperative deadline: checked here at phase boundaries (and by
-        // instrumented loops inside codegen via the probe), never
-        // mid-phase, so `phase` always names the last *completed* phase.
-        let expired = |probe: &Probe<'_>, phase: CompilePhase| {
-            if probe.deadline_exceeded() {
-                Err(CompileError::DeadlineExceeded {
-                    function: function.to_owned(),
-                    phase,
-                })
-            } else {
-                Ok(())
-            }
+        let mut run = CompileRun {
+            phases: Phases::new(&mut probe, CompileReport::with_capacity(7, 16)),
+            at,
+            inject: options.inject_panic,
+            function,
         };
 
-        let t0 = Instant::now();
-        enter(CompilePhase::Parse);
-        probe.begin("parse");
-        let parsed = record_ir::parse(request.source())
-            .map_err(|e| CompileError::from_frontend(function, CompilePhase::Parse, &e));
-        probe.end("parse");
-        report.phase("parse", t0.elapsed().as_nanos() as u64);
-        let program = parsed?;
-        expired(&probe, CompilePhase::Parse)?;
-
-        let t1 = Instant::now();
-        enter(CompilePhase::Lower);
-        probe.begin("lower");
-        let lowered = record_ir::lower_cfg(&program, function)
-            .map_err(|e| CompileError::from_frontend(function, CompilePhase::Lower, &e));
-        probe.end("lower");
-        report.phase("lower", t1.elapsed().as_nanos() as u64);
-        let cfg = lowered?;
-        expired(&probe, CompilePhase::Lower)?;
-        // Straight-line functions take the pre-CFG single-block pipeline —
-        // same statement slices, same phase calls — so their output stays
-        // byte-identical to what this code produced before control flow
-        // existed (pinned by the golden-listing tests).
-        let straight = cfg.is_straight_line();
-        // What the binder scans for ROM placement: every block's
-        // statements, plus one pseudo-statement per branch condition so a
-        // word read by a terminator never looks ROM-eligible.
-        let bind_stmts: Cow<'_, [FlatStmt]> = if straight {
-            Cow::Borrowed(&cfg.blocks[0].stmts)
-        } else {
-            let mut all: Vec<FlatStmt> = cfg
-                .blocks
-                .iter()
-                .flat_map(|b| b.stmts.iter().cloned())
-                .collect();
-            for b in &cfg.blocks {
-                if let Terminator::Branch { cond, .. } = &b.term {
-                    all.push(FlatStmt {
-                        target: Ref {
-                            name: "$cond".to_owned(),
-                            offset: 0,
-                        },
-                        value: cond.clone(),
-                    });
-                }
-            }
-            Cow::Owned(all)
-        };
-
-        let t2 = Instant::now();
-        enter(CompilePhase::Bind);
-        probe.begin("bind");
+        let program = run.step(CompilePhase::Parse, |_| {
+            record_ir::parse(request.source())
+                .map_err(|e| CompileError::from_frontend(function, CompilePhase::Parse, &e))
+        })?;
+        let cfg = run.step(CompilePhase::Lower, |_| {
+            record_ir::lower_cfg(&program, function)
+                .map_err(|e| CompileError::from_frontend(function, CompilePhase::Lower, &e))
+        })?;
         // The baseline path ignores the constant memory on purpose: the
         // Figure 2 comparator routes every operand through data memory.
         let const_mem = if options.baseline {
@@ -359,76 +295,56 @@ impl<'t> CompileSession<'t> {
         } else {
             target.const_mem
         };
-        let bound = target.data_memory().and_then(|dm| {
-            Binding::allocate_with_const_mem(
+        let (mut binding, width) = run.step(CompilePhase::Bind, |_| {
+            let dm = target.data_memory()?;
+            let binding = Binding::allocate_with_const_mem(
                 &program,
                 function,
                 &target.netlist,
                 dm,
                 const_mem,
-                &bind_stmts,
+                &cfg,
             )
-            .map_err(|e| CompileError::from_codegen(function, CompilePhase::Bind, e))
-            .map(|binding| (binding, target.netlist.storage(dm).width))
-        });
-        probe.end("bind");
-        report.phase("bind", t2.elapsed().as_nanos() as u64);
-        let (mut binding, width) = bound?;
-        expired(&probe, CompilePhase::Bind)?;
+            .map_err(|e| CompileError::from_codegen(function, CompilePhase::Bind, e))?;
+            Ok((binding, target.netlist.storage(dm).width))
+        })?;
 
-        let t3 = Instant::now();
         // Selection and emission both happen inside codegen; attribute
         // panics there to the emit phase (the enclosing span).
-        enter(CompilePhase::Emit);
-        probe.begin("codegen");
-        let emitted = if options.baseline {
-            if straight {
+        run.enter(CompilePhase::Emit);
+        let bdd = &mut self.bdd;
+        let (emitted, codegen_ns) = run.phases.timed("codegen", |probe| {
+            if !options.baseline {
+                compile_cfg(
+                    &cfg,
+                    &target.selector,
+                    &target.base,
+                    &mut binding,
+                    &target.netlist,
+                    bdd,
+                    &target.emit_tables,
+                    width,
+                    probe,
+                )
+            } else if cfg.is_straight_line() {
                 baseline_compile(
                     &cfg.blocks[0].stmts,
                     &target.selector,
                     &target.base,
                     &mut binding,
                     &target.netlist,
-                    &mut self.bdd,
+                    bdd,
                     &target.emit_tables,
                     width,
-                    &mut probe,
+                    probe,
                 )
-                .map(emitted_as_one_block)
             } else {
                 Err(CodegenError::NoBranchPath {
                     detail: "the baseline per-operator compiler supports straight-line code only"
                         .to_owned(),
                 })
             }
-        } else if straight {
-            compile(
-                &cfg.blocks[0].stmts,
-                &target.selector,
-                &target.base,
-                &mut binding,
-                &target.netlist,
-                &mut self.bdd,
-                &target.emit_tables,
-                width,
-                &mut probe,
-            )
-            .map(emitted_as_one_block)
-        } else {
-            compile_cfg(
-                &cfg,
-                &target.selector,
-                &target.base,
-                &mut binding,
-                &target.netlist,
-                &mut self.bdd,
-                &target.emit_tables,
-                width,
-                &mut probe,
-            )
-        };
-        probe.end("codegen");
-        let codegen_ns = t3.elapsed().as_nanos() as u64;
+        });
         let EmittedCfg {
             ops,
             block_ranges,
@@ -437,6 +353,7 @@ impl<'t> CompileSession<'t> {
         // Selection time is measured inside codegen per statement; the
         // rest of the codegen wall clock (splitting, spill routing, RT
         // emission) is the emit phase.
+        let report = &mut run.phases.report;
         report.phase("select", emit.select_ns);
         report.phase("emit", codegen_ns.saturating_sub(emit.select_ns));
         report.count("emit.statements", emit.statements);
@@ -445,7 +362,7 @@ impl<'t> CompileSession<'t> {
         report.count("emit.reloads", emit.reloads);
         report.count("select.rules-tried", emit.select.rules_tried);
         report.count("select.labels-set", emit.select.labels_set);
-        expired(&probe, CompilePhase::Emit)?;
+        run.expired(CompilePhase::Emit)?;
 
         // Value placement: keep chained results register-resident.  The
         // baseline path stays memory-bound on purpose — it models the
@@ -453,37 +370,17 @@ impl<'t> CompileSession<'t> {
         // memory.
         let (mut ops, block_ranges, alloc) = match &target.pool {
             Some(pool) if options.allocate_registers && !options.baseline => {
-                let t4 = Instant::now();
-                enter(CompilePhase::Allocate);
-                probe.begin("allocate");
-                let (ops, ranges, stats) = if straight {
-                    let liveness = Liveness::analyze(&cfg.blocks[0].stmts);
-                    let (ops, stats) = allocate_probed(
-                        &ops,
-                        pool,
-                        &liveness,
-                        MemLayout::from_binding(&binding),
-                        &AllocOptions::default(),
-                        &mut probe,
-                    );
-                    let n = ops.len();
-                    // One block spanning all ops, not `(0..n).collect()`.
-                    #[allow(clippy::single_range_in_vec_init)]
-                    (ops, vec![0..n], stats)
-                } else {
-                    let liveness = CfgLiveness::analyze(&cfg);
-                    allocate_cfg_probed(
+                let (ops, ranges, stats) = run.step(CompilePhase::Allocate, |probe| {
+                    Ok(allocate(
                         &ops,
                         &block_ranges,
                         pool,
-                        &liveness,
                         MemLayout::from_binding(&binding),
                         &AllocOptions::default(),
-                        &mut probe,
-                    )
-                };
-                probe.end("allocate");
-                report.phase("allocate", t4.elapsed().as_nanos() as u64);
+                        probe,
+                    ))
+                })?;
+                let report = &mut run.phases.report;
                 report.count(
                     "allocate.reloads-eliminated",
                     stats.reloads_eliminated as u64,
@@ -492,38 +389,32 @@ impl<'t> CompileSession<'t> {
                 report.count("allocate.spills", stats.spills as u64);
                 (ops, ranges, Some(stats))
             }
-            _ => (ops, block_ranges, None),
+            _ => {
+                run.expired(CompilePhase::Allocate)?;
+                (ops, block_ranges, None)
+            }
         };
-        expired(&probe, CompilePhase::Allocate)?;
 
         // Transfer targets leave emission as *block ids*; now that op
         // positions are final, rewrite them to vertical op indices (the
         // first op of the target block).  Compacted execution rewrites
         // them once more, to word indices, in `Schedule::materialize`.
-        if !straight {
-            for op in ops.iter_mut() {
-                if op.transfer.is_some() {
-                    if let SimExpr::Const(b) = op.expr {
-                        op.expr = SimExpr::Const(block_ranges[b as usize].start as u64);
-                    }
+        for op in ops.iter_mut() {
+            if op.transfer.is_some() {
+                if let SimExpr::Const(b) = op.expr {
+                    op.expr = SimExpr::Const(block_ranges[b as usize].start as u64);
                 }
             }
         }
 
         let schedule = options.compaction.then(|| {
-            let t5 = Instant::now();
-            enter(CompilePhase::Compact);
-            probe.begin("compact");
-            let schedule = if straight {
-                compact(&ops, &mut self.bdd)
-            } else {
-                compact_cfg(&ops, &block_ranges, &mut self.bdd)
-            };
-            probe.end("compact");
-            report.phase("compact", t5.elapsed().as_nanos() as u64);
-            schedule
+            run.enter(CompilePhase::Compact);
+            let bdd = &mut self.bdd;
+            run.phases
+                .run("compact", |_| compact_cfg(&ops, &block_ranges, bdd))
         });
 
+        let mut report = run.phases.report;
         let bdd = self.bdd.counters().delta(&bdd_before);
         report.count("bdd.nodes-allocated", bdd.nodes);
         report.count("bdd.op-cache-hits", bdd.op_hits);
@@ -541,15 +432,53 @@ impl<'t> CompileSession<'t> {
     }
 }
 
-/// Wraps a straight-line emission result in the single-block CFG shape.
-// One block spanning all ops, not `(0..n).collect()`.
-#[allow(clippy::single_range_in_vec_init)]
-fn emitted_as_one_block(e: Emitted) -> EmittedCfg {
-    let n = e.ops.len();
-    EmittedCfg {
-        ops: e.ops,
-        block_ranges: vec![0..n],
-        stats: e.stats,
+/// The compile pipeline's phase bookkeeping: [`Phases`] plus panic
+/// attribution, the fault-injection hook and the cooperative deadline.
+struct CompileRun<'a, 'p> {
+    phases: Phases<'a, 'p>,
+    /// Where the running phase is published for the containment wrapper.
+    at: &'a Cell<CompilePhase>,
+    /// [`CompileOptions::inject_panic`](crate::CompileOptions::inject_panic).
+    inject: Option<CompilePhase>,
+    function: &'a str,
+}
+
+impl<'p> CompileRun<'_, 'p> {
+    /// Marks `phase` as running (a panic from here on is attributed to
+    /// it) and fires the fault-injection hook when it is armed for
+    /// `phase`.
+    fn enter(&self, phase: CompilePhase) {
+        self.at.set(phase);
+        if self.inject == Some(phase) {
+            panic!("injected panic in phase `{phase}` (fault-injection hook)");
+        }
+    }
+
+    /// The cooperative deadline, checked at phase boundaries (and by
+    /// instrumented loops inside codegen via the probe), never mid-phase,
+    /// so `phase` always names the last *completed* phase.
+    fn expired(&self, phase: CompilePhase) -> Result<(), CompileError> {
+        if self.phases.probe.deadline_exceeded() {
+            Err(CompileError::DeadlineExceeded {
+                function: self.function.to_owned(),
+                phase,
+            })
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Enters `phase`, runs `body` under the phase's label and, when it
+    /// succeeds, checks the deadline.
+    fn step<T>(
+        &mut self,
+        phase: CompilePhase,
+        body: impl FnOnce(&mut Probe<'p>) -> Result<T, CompileError>,
+    ) -> Result<T, CompileError> {
+        self.enter(phase);
+        let out = self.phases.run(phase.label(), body)?;
+        self.expired(phase)?;
+        Ok(out)
     }
 }
 

@@ -1,7 +1,9 @@
-//! A minimal JSON value, parser and printer.
+//! A minimal JSON value, parser and printer — the workspace's one JSON
+//! codec: the compile service's wire protocol, the perf snapshots and
+//! the Chrome trace export all go through it.
 //!
 //! The wire protocol is newline-delimited JSON; keeping the codec in-tree
-//! (like the vendored `criterion`/`proptest` shims) keeps the service
+//! (like the vendored `criterion`/`proptest` shims) keeps the workspace
 //! zero-dependency.  Only what the protocol needs is implemented: objects
 //! keep insertion order, numbers are `f64`, and the printer always emits
 //! a single line (strings escape control characters, so embedded newlines
@@ -322,7 +324,9 @@ impl Parser<'_> {
                                     .and_then(|h| std::str::from_utf8(h).ok())
                                     .ok_or("truncated \\u escape")?;
                                 let low = u32::from_str_radix(hex2, 16)
-                                    .map_err(|_| "bad \\u escape".to_owned())?;
+                                    .ok()
+                                    .filter(|low| (0xdc00..0xe000).contains(low))
+                                    .ok_or("unpaired surrogate")?;
                                 self.pos += 4;
                                 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00)
                             } else {
@@ -385,7 +389,17 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        for bad in ["", "{", "[1,", "nul", "\"open", "{\"a\" 1}", "1 2"] {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "nul",
+            "\"open",
+            "{\"a\" 1}",
+            "1 2",
+            // A high surrogate followed by a non-surrogate escape.
+            r#""\ud800\u0041""#,
+        ] {
             assert!(parse(bad).is_err(), "{bad:?}");
         }
     }

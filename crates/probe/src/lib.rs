@@ -55,6 +55,7 @@
 //! ```
 
 mod chrome;
+pub mod json;
 pub mod metrics;
 mod report;
 mod trace;

@@ -115,9 +115,13 @@ fn chrome_export_is_shaped_and_escaped() {
     assert!(json.contains("\"ts\": 1.500"), "ns -> µs conversion");
     assert!(json.contains("\"ph\": \"C\""));
 
-    // Shape validation catches an unbalanced hand-made document.
-    let err = crate::validate_chrome_json_shape("{\"ph\": \"B\"}").unwrap_err();
+    // Shape validation catches an unbalanced hand-made document, a
+    // document without events and one that is not JSON at all.
+    let err =
+        crate::validate_chrome_json_shape("{\"traceEvents\": [{\"ph\": \"B\"}]}").unwrap_err();
     assert!(err.contains("unbalanced events"), "{err}");
+    assert!(crate::validate_chrome_json_shape("{\"ph\": \"B\"}").is_err());
+    assert!(crate::validate_chrome_json_shape(&json[..json.len() / 2]).is_err());
 }
 
 #[test]

@@ -25,11 +25,12 @@
 //! [`record_codegen::Machine`] oracle while making strictly fewer data
 //! memory accesses whenever the source reuses a value.
 
-use crate::liveness::{CfgLiveness, Liveness};
 use crate::pool::{RegisterPool, Residency, Resident};
 use record_codegen::{Binding, DestSim, Loc, RtOp, SimExpr};
 use record_netlist::StorageId;
+use record_probe::Probe;
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 /// Options for [`allocate`].
 #[derive(Debug, Clone, Default)]
@@ -61,9 +62,6 @@ pub struct AllocStats {
     /// Data-memory writes before / after.
     pub writes_before: usize,
     pub writes_after: usize,
-    /// Source values accessed more than once (liveness upper bound on
-    /// profitable residency).
-    pub reused_values: usize,
 }
 
 impl AllocStats {
@@ -261,46 +259,20 @@ fn establish<F: Fn(u64, usize) -> Option<usize>>(
 }
 
 /// The value-placement rewriter.  See the module docs for the algorithm.
-#[derive(Debug)]
-pub struct Allocator<'a> {
+struct Allocator<'a> {
     pool: &'a RegisterPool,
-    liveness: &'a Liveness,
     layout: MemLayout,
-    options: AllocOptions,
+    options: &'a AllocOptions,
 }
 
-impl<'a> Allocator<'a> {
-    /// A rewriter over `pool` for code laid out per `layout`.
-    pub fn new(
-        pool: &'a RegisterPool,
-        liveness: &'a Liveness,
-        layout: MemLayout,
-        options: AllocOptions,
-    ) -> Self {
-        Allocator {
-            pool,
-            liveness,
-            layout,
-            options,
-        }
-    }
-
-    /// Rewrites `ops`, returning the allocated sequence and its stats.
-    pub fn run(&self, ops: &[RtOp]) -> (Vec<RtOp>, AllocStats) {
-        self.run_probed(ops, &mut record_probe::Probe::disabled())
-    }
-
-    /// Like [`Allocator::run`], with each pass wrapped in a trace span
+impl Allocator<'_> {
+    /// Rewrites one block's `ops`, returning the allocated sequence and
+    /// its stats.  Each pass is wrapped in a trace span on `probe`
     /// (`"allocate.residency"`, `"allocate.dead-store"`).
-    pub fn run_probed(
-        &self,
-        ops: &[RtOp],
-        probe: &mut record_probe::Probe<'_>,
-    ) -> (Vec<RtOp>, AllocStats) {
+    fn run(&self, ops: &[RtOp], probe: &mut Probe<'_>) -> (Vec<RtOp>, AllocStats) {
         let dm = self.layout.data_mem;
         let mut stats = AllocStats {
             ops_before: ops.len(),
-            reused_values: self.liveness.reused_values(),
             ..AllocStats::default()
         };
         (stats.reads_before, stats.writes_before) = mem_traffic(ops, dm);
@@ -469,53 +441,49 @@ impl<'a> Allocator<'a> {
     }
 }
 
-/// Convenience entry point: rewrites `ops` over `pool`.
+/// Rewrites `ops` one basic block at a time.
 ///
-/// The residency passes themselves track value locations at op
-/// granularity (exact, from the sequence itself); the statement-level
-/// `liveness` currently feeds the `reused_values` diagnostic only.  It
-/// stays in the signature because the roadmap's follow-ons
-/// (template-switching rewrites, cross-block allocation) key off the
-/// interval data.
+/// `ops[r]` for each range of `block_ranges` is one block's code; a
+/// straight-line kernel is a single range spanning every op.  Each block
+/// is rewritten independently: the residency ledger starts empty per
+/// block (no register state is assumed across a control transfer —
+/// predecessors differ and loops re-enter), and the dead-store pass runs
+/// with its usual end-state rule per block, which keeps every variable
+/// word observable at block boundaries.  Scratch words never escape a
+/// block (emission defines them before any read in the same block), so
+/// block-local analysis loses nothing.
+///
+/// `probe` receives an `"allocate.residency"` and an
+/// `"allocate.dead-store"` span per block.  Returns the rewritten
+/// sequence, the new per-block op ranges (ops are only ever removed, so
+/// ranges shift), and the summed stats.
 pub fn allocate(
     ops: &[RtOp],
+    block_ranges: &[Range<usize>],
     pool: &RegisterPool,
-    liveness: &Liveness,
     layout: MemLayout,
     options: &AllocOptions,
-) -> (Vec<RtOp>, AllocStats) {
-    Allocator::new(pool, liveness, layout, options.clone()).run(ops)
-}
-
-/// Per-block allocation for CFG code.
-///
-/// Each block's op range is rewritten independently: the residency
-/// ledger starts empty per block (no register state is assumed across a
-/// control transfer — predecessors differ and loops re-enter), and the
-/// dead-store pass runs with its usual end-state rule per block, which
-/// keeps every variable word observable at block boundaries.  Scratch
-/// words never escape a block (emission defines them before any read in
-/// the same block), so block-local analysis loses nothing.
-///
-/// Returns the rewritten sequence, the new per-block op ranges (ops are
-/// only ever removed, so ranges shift), and the summed stats.
-pub fn allocate_cfg_probed(
-    ops: &[RtOp],
-    block_ranges: &[std::ops::Range<usize>],
-    pool: &RegisterPool,
-    liveness: &CfgLiveness,
-    layout: MemLayout,
-    options: &AllocOptions,
-    probe: &mut record_probe::Probe<'_>,
-) -> (Vec<RtOp>, Vec<std::ops::Range<usize>>, AllocStats) {
-    let mut out = Vec::with_capacity(ops.len());
+    probe: &mut Probe<'_>,
+) -> (Vec<RtOp>, Vec<Range<usize>>, AllocStats) {
+    let alloc = Allocator {
+        pool,
+        layout,
+        options,
+    };
+    let mut out = Vec::new();
     let mut ranges = Vec::with_capacity(block_ranges.len());
     let mut total = AllocStats::default();
-    for (b, r) in block_ranges.iter().enumerate() {
-        let alloc = Allocator::new(pool, liveness.block(b), layout, options.clone());
-        let (kept, stats) = alloc.run_probed(&ops[r.clone()], probe);
+    for r in block_ranges {
+        let (kept, stats) = alloc.run(&ops[r.clone()], probe);
         let start = out.len();
-        out.extend(kept);
+        // Adopt the first block's vector instead of copying it: a
+        // straight-line kernel (one block) then never holds two copies
+        // of its code at once.
+        if out.is_empty() {
+            out = kept;
+        } else {
+            out.extend(kept);
+        }
         ranges.push(start..out.len());
         total.ops_before += stats.ops_before;
         total.ops_after += stats.ops_after;
@@ -526,39 +494,6 @@ pub fn allocate_cfg_probed(
         total.reads_after += stats.reads_after;
         total.writes_before += stats.writes_before;
         total.writes_after += stats.writes_after;
-        total.reused_values += stats.reused_values;
     }
     (out, ranges, total)
-}
-
-/// [`allocate_cfg_probed`] without tracing.
-pub fn allocate_cfg(
-    ops: &[RtOp],
-    block_ranges: &[std::ops::Range<usize>],
-    pool: &RegisterPool,
-    liveness: &CfgLiveness,
-    layout: MemLayout,
-    options: &AllocOptions,
-) -> (Vec<RtOp>, Vec<std::ops::Range<usize>>, AllocStats) {
-    allocate_cfg_probed(
-        ops,
-        block_ranges,
-        pool,
-        liveness,
-        layout,
-        options,
-        &mut record_probe::Probe::disabled(),
-    )
-}
-
-/// [`allocate`] with per-pass trace spans.
-pub fn allocate_probed(
-    ops: &[RtOp],
-    pool: &RegisterPool,
-    liveness: &Liveness,
-    layout: MemLayout,
-    options: &AllocOptions,
-    probe: &mut record_probe::Probe<'_>,
-) -> (Vec<RtOp>, AllocStats) {
-    Allocator::new(pool, liveness, layout, options.clone()).run_probed(ops, probe)
 }

@@ -5,7 +5,7 @@
 //! timestamps) and export as loadable Chrome trace JSON.
 
 use record_core::{
-    validate_chrome_json_shape, CompileRequest, CompiledKernel, MetricsBuilder, Record,
+    validate_chrome_json_shape, CompileRequest, CompiledKernel, MetricsBuilder, Record, Report,
     RetargetOptions,
 };
 use record_targets::{kernels, models};
@@ -176,19 +176,29 @@ fn compile_reports_are_attached_and_consistent() {
     let target = Record::retarget(model.hdl, &RetargetOptions::default()).unwrap();
 
     let retarget_report = &target.report().report;
-    for phase in [
-        "parse",
-        "extract",
-        "template-gen",
-        "rule-gen",
-        "selector-gen",
-        "freeze",
-    ] {
-        assert!(
-            retarget_report.phase_ns(phase).is_some(),
-            "retarget report misses phase `{phase}`"
-        );
-    }
+    assert_eq!(
+        phase_labels(retarget_report),
+        [
+            "parse",
+            "extract",
+            "template-gen",
+            "rule-gen",
+            "selector-gen",
+            "freeze"
+        ],
+        "retarget phases, in order"
+    );
+    assert_eq!(
+        counter_names(retarget_report),
+        [
+            "extract.templates",
+            "template-gen.templates",
+            "rule-gen.nonterminals",
+            "rule-gen.rules",
+            "freeze.bdd-nodes"
+        ],
+        "retarget counters, in order"
+    );
     assert_eq!(
         retarget_report.counter("rule-gen.rules"),
         Some(target.report().rules as u64)
@@ -203,14 +213,7 @@ fn compile_reports_are_attached_and_consistent() {
     let compiled = target
         .compile(&CompileRequest::new(kernel.source, kernel.function))
         .expect("fir compiles on c25");
-    for phase in [
-        "parse", "lower", "bind", "select", "emit", "allocate", "compact",
-    ] {
-        assert!(
-            compiled.report.phase_ns(phase).is_some(),
-            "compile report misses phase `{phase}`"
-        );
-    }
+    assert_compile_vocabulary(&compiled, "fir on tms320c25");
     assert!(
         compiled.report.counter("emit.statements").unwrap_or(0) > 0,
         "no statements counted"
@@ -223,5 +226,55 @@ fn compile_reports_are_attached_and_consistent() {
     assert!(
         compiled.report.counter("bdd.unique-lookups").unwrap_or(0) > 0,
         "no BDD work counted"
+    );
+
+    // A kernel with runtime control flow goes down the same pipeline and
+    // reports under the same names.
+    let model = models::model("ref").unwrap();
+    let target = Record::retarget(model.hdl, &RetargetOptions::default()).unwrap();
+    let kernel = kernels::kernel("vec_max").expect("vec_max kernel exists");
+    let compiled = target
+        .compile(&CompileRequest::new(kernel.source, kernel.function))
+        .expect("vec_max compiles on ref");
+    assert!(compiled.ops.iter().any(|op| op.transfer.is_some()));
+    assert_compile_vocabulary(&compiled, "vec_max on ref");
+}
+
+fn phase_labels(report: &Report) -> Vec<&'static str> {
+    report.phases.iter().map(|p| p.label).collect()
+}
+
+fn counter_names(report: &Report) -> Vec<&'static str> {
+    report.counters.iter().map(|c| c.name).collect()
+}
+
+/// The exact, ordered phase labels and counter names of a default
+/// compile.  Benchmarks and `/metrics` read these by string, so a rename
+/// or a dropped entry must fail here first.
+fn assert_compile_vocabulary(compiled: &CompiledKernel, label: &str) {
+    assert_eq!(
+        phase_labels(&compiled.report),
+        ["parse", "lower", "bind", "select", "emit", "allocate", "compact"],
+        "{label}: compile phases, in order"
+    );
+    assert_eq!(
+        counter_names(&compiled.report),
+        [
+            "emit.statements",
+            "emit.splits",
+            "emit.spill-stores",
+            "emit.reloads",
+            "select.rules-tried",
+            "select.labels-set",
+            "allocate.reloads-eliminated",
+            "allocate.stores-eliminated",
+            "allocate.spills",
+            "bdd.nodes-allocated",
+            "bdd.op-cache-hits",
+            "bdd.op-cache-misses",
+            "bdd.unique-probes",
+            "bdd.unique-lookups",
+        ],
+        "{label}: compile counters, in order"
     );
 }

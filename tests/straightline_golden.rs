@@ -1,11 +1,12 @@
 //! Differential pin: straight-line kernels must produce byte-identical
 //! listings to the reviewed golden files under `tests/golden/`.
 //!
-//! The CFG refactor routes single-block programs through the same lowering,
-//! emission, allocation and compaction entry points as branchy ones; this
-//! test guarantees the fast path stays exactly the fast path.  Regenerate
-//! the files with `cargo run --release --example golden_listings` only when
-//! an intentional output change is reviewed.
+//! A straight-line function lowers to one basic block and takes the one
+//! compile pipeline every kernel takes (`compile_cfg`, block-wise
+//! `allocate`, `compact_cfg`); this test holds that pipeline to the
+//! listings the goldens recorded.  Regenerate the files with
+//! `cargo run --release --example golden_listings` only when an
+//! intentional output change is reviewed.
 
 use record_core::{CompileRequest, Record, RetargetOptions};
 use record_targets::{kernels, models};
