@@ -3,7 +3,8 @@
 //! compiler bar) vs RECORD, plus the register allocator's memory-traffic
 //! reduction per kernel.
 //!
-//! Pass `--no-commutativity` to reproduce ablation A from DESIGN.md.
+//! Pass `--no-commutativity` to turn off commutative template extension
+//! and see its effect on code size.
 
 use record_core::RetargetOptions;
 use record_rtl::{ExtensionOptions, TransformLibrary};

@@ -2,17 +2,18 @@
 //! time per target processor, plus aggregate register-allocation counters
 //! over the Figure 2 kernels that compile on each model.
 
-use record_core::CompileRequest;
-use record_targets::kernels;
+use record_core::{CompileRequest, Record};
+use record_targets::{kernels, models};
+use std::time::Duration;
 
 fn main() {
     println!("Table 3: retargeting statistics (paper: templates / SPARC-20 CPU s)");
     println!(
-        "{:<12} {:>10} {:>10} {:>8} {:>12}   {:>7} {:>7} {:>7}   phases (frontend/ISE/extend/grammar/selector)",
+        "{:<12} {:>10} {:>10} {:>8} {:>12}   {:>7} {:>7} {:>7}   phases (parse/extract/template-gen/rule-gen/selector-gen/freeze)",
         "processor", "extracted", "extended", "rules", "time", "kernels", "saved", "spills"
     );
-    for model in record_bench::all_models() {
-        match record_bench::retarget(&model, &Default::default()) {
+    for model in models::models() {
+        match Record::retarget(model.hdl, &Default::default()) {
             Ok(target) => {
                 // Aggregate allocator counters over the kernels this
                 // machine can compile at all, batched through the
@@ -33,8 +34,14 @@ fn main() {
                     }
                 }
                 let s = target.report();
+                let phases: Vec<String> = s
+                    .report
+                    .phases
+                    .iter()
+                    .map(|p| format!("{:.2?}", Duration::from_nanos(p.ns)))
+                    .collect();
                 println!(
-                    "{:<12} {:>10} {:>10} {:>8} {:>10.2?}   {:>7} {:>7} {:>7}   {:.2?}/{:.2?}/{:.2?}/{:.2?}/{:.2?}",
+                    "{:<12} {:>10} {:>10} {:>8} {:>10.2?}   {:>7} {:>7} {:>7}   {}",
                     model.name,
                     s.templates_extracted,
                     s.templates_extended,
@@ -43,11 +50,7 @@ fn main() {
                     compiled,
                     saved,
                     spills,
-                    s.t_frontend(),
-                    s.t_extract(),
-                    s.t_extend(),
-                    s.t_grammar(),
-                    s.t_selector(),
+                    phases.join("/"),
                 );
             }
             Err(e) => println!("{:<12} FAILED: {e}", model.name),

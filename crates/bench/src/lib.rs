@@ -4,12 +4,17 @@
 //!   table (template counts + per-phase times for all six processors).
 //! * `cargo run -p record-bench --bin figure2` prints the relative code
 //!   size chart data (hand-written = 100 %) for the ten DSPstone kernels on
-//!   the TMS320C25-like model, baseline compiler vs RECORD.
-//! * `cargo bench -p record-bench` measures retargeting and compilation
-//!   with criterion, plus the ablations called out in DESIGN.md.
+//!   the TMS320C25-like model, baseline compiler vs RECORD;
+//!   `-- --no-commutativity` shows the code-size effect of commutative
+//!   template extension.
+//! * [`snapshot`] pins the machine-independent counters of every retarget
+//!   and compile; the `counter_gate` test holds the tree to them.
+//!
+//! Timings with their run-to-run spread come from the `perfbench`
+//! benchmark (see `BENCHMARK.json`).
 
 use record_core::{mem_traffic, CompileError, CompileRequest, Record, RetargetOptions, Target};
-use record_targets::{kernels, models, Kernel, TargetModel};
+use record_targets::{kernels, models, Kernel};
 
 pub mod snapshot;
 
@@ -53,18 +58,6 @@ impl Figure2Row {
         }
         100.0 * (self.unalloc_mem - self.record_mem) as f64 / self.unalloc_mem as f64
     }
-}
-
-/// Retargets a model (convenience wrapper).
-///
-/// # Errors
-///
-/// Propagates pipeline errors.
-pub fn retarget(
-    model: &TargetModel,
-    options: &RetargetOptions,
-) -> Result<Target, record_core::PipelineError> {
-    Record::retarget(model.hdl, options)
 }
 
 /// Compiles one kernel both ways on an already-retargeted C25 target.
@@ -123,9 +116,4 @@ pub fn figure2(options: &RetargetOptions) -> Result<Vec<Figure2Row>, Box<dyn std
         .iter()
         .map(|k| figure2_row(&target, k))
         .collect::<Result<Vec<_>, _>>()?)
-}
-
-/// All models, for Table 3 sweeps.
-pub fn all_models() -> [TargetModel; 6] {
-    models::models()
 }

@@ -260,8 +260,8 @@ pub enum CompileError {
 /// * `no-data-memory`, `unknown-storage`, `not-a-memory`,
 ///   `unbound-variable`, `frontend` — set-up failures.
 ///
-/// `record-bench` snapshots persist this pair per failing model×kernel
-/// and `perf_snapshot --check` fails when a pair silently changes class.
+/// `record-bench` snapshots persist this pair per failing model×kernel,
+/// and its `counter_gate` test fails when a pair silently changes class.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FailureClass {
     /// The phase that failed.

@@ -42,8 +42,8 @@ pub struct RetargetOptions {
 /// This is the single retarget-side statistics struct — phase times that
 /// used to be separate `t_*` `Duration` fields live in [`Self::report`]
 /// under the phase labels `"parse"`, `"extract"`, `"template-gen"`,
-/// `"rule-gen"`, `"selector-gen"` and `"freeze"`, with accessor methods
-/// preserving the old vocabulary.
+/// `"rule-gen"`, `"selector-gen"` and `"freeze"` (read them with
+/// `report.phase_ns(label)`).
 #[derive(Debug, Clone)]
 pub struct RetargetReport {
     /// Processor name from the HDL model.
@@ -72,35 +72,6 @@ pub struct RetargetReport {
 }
 
 impl RetargetReport {
-    fn phase_dur(&self, label: &str) -> Duration {
-        Duration::from_nanos(self.report.phase_ns(label).unwrap_or(0))
-    }
-
-    /// Time in the HDL frontend (parsing + elaboration; phase `"parse"`).
-    pub fn t_frontend(&self) -> Duration {
-        self.phase_dur("parse")
-    }
-
-    /// Time in instruction-set extraction (phase `"extract"`).
-    pub fn t_extract(&self) -> Duration {
-        self.phase_dur("extract")
-    }
-
-    /// Time in algebraic template extension (phase `"template-gen"`).
-    pub fn t_extend(&self) -> Duration {
-        self.phase_dur("template-gen")
-    }
-
-    /// Time constructing the tree grammar (phase `"rule-gen"`).
-    pub fn t_grammar(&self) -> Duration {
-        self.phase_dur("rule-gen")
-    }
-
-    /// Time generating the selector tables (phase `"selector-gen"`).
-    pub fn t_selector(&self) -> Duration {
-        self.phase_dur("selector-gen")
-    }
-
     /// Total retargeting time.
     pub fn t_total(&self) -> Duration {
         Duration::from_nanos(self.total_ns)

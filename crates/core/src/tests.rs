@@ -52,7 +52,7 @@ fn retarget_reports_phase_times_and_counts() {
     assert_eq!(s.templates_extracted, 2); // acc := ram, ram := acc
     assert!(s.templates_extended >= s.templates_extracted);
     assert!(s.rules > s.templates_extended); // start + stop rules on top
-    assert!(s.t_total() >= s.t_extract());
+    assert!(s.total_ns >= s.report.phase_ns("extract").expect("extract is timed"));
     assert_eq!(s.nonterminals, 2); // START + acc
 }
 

@@ -9,8 +9,8 @@
 //! * **Non-terminals** — `START` plus one per register, register file and
 //!   primary output port: the locations that can hold (intermediate)
 //!   values.  Memories are *not* non-terminals in this implementation;
-//!   spill placement is handled explicitly by the scheduler (documented
-//!   deviation, see DESIGN.md).
+//!   spill placement is handled explicitly by the scheduler (a deviation
+//!   from the paper).
 //! * **Rules** —
 //!   1. *start rules* `START → ASSIGN(dest, NonTerm(dest))`, cost 0,
 //!   2. *RT rules* `NonTerm(dest) → L(exp)` per template, cost 1

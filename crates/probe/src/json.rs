@@ -1,9 +1,9 @@
 //! A minimal JSON value, parser and printer — the workspace's one JSON
-//! codec: the compile service's wire protocol, the perf snapshots and
+//! codec: the compile service's wire protocol, the counter snapshot and
 //! the Chrome trace export all go through it.
 //!
 //! The wire protocol is newline-delimited JSON; keeping the codec in-tree
-//! (like the vendored `criterion`/`proptest` shims) keeps the workspace
+//! (like the vendored `proptest` shim) keeps the workspace
 //! zero-dependency.  Only what the protocol needs is implemented: objects
 //! keep insertion order, numbers are `f64`, and the printer always emits
 //! a single line (strings escape control characters, so embedded newlines

@@ -437,9 +437,9 @@ fn escape_label(v: &str) -> String {
 /// A merged (or standalone) log-bucketed histogram: observation counts by
 /// bit length, plus the exact sum and maximum.
 ///
-/// Standalone use (no registry) covers offline aggregation — the bench
-/// snapshot builds one per measurement series and reads percentiles off
-/// it.  Merging is element-wise addition, so merge order never matters.
+/// Standalone use (no registry) covers offline aggregation: observe a
+/// series and read percentiles off it.  Merging is element-wise
+/// addition, so merge order never matters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     /// Observation count per bucket (index = bit length of the value).

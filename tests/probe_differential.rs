@@ -203,7 +203,12 @@ fn compile_reports_are_attached_and_consistent() {
         retarget_report.counter("rule-gen.rules"),
         Some(target.report().rules as u64)
     );
-    assert!(target.report().t_total() >= target.report().t_extract());
+    assert!(
+        target.report().total_ns
+            >= retarget_report
+                .phase_ns("extract")
+                .expect("extract is timed")
+    );
 
     let all_kernels = kernels::kernels();
     let kernel = all_kernels
